@@ -8,26 +8,36 @@
 //! (`{"ok":N}` or `{"err":{…}}`); everything else about the outcome is
 //! derived from that line plus the exit status.
 //!
+//! # Supervision
+//!
+//! The supervisor wakes on events, not on a timer. A reader thread
+//! drains the child's stdout to EOF, waits for the child to exit, and
+//! hands the output over a channel; the supervisor blocks on that
+//! channel until the message arrives, an injected kill falls due, or the
+//! wall-clock deadline passes, whichever is first. On the deadline it
+//! SIGKILLs and reaps the child. A cell is therefore noticed the moment
+//! it exits, and a child that closes stdout but keeps running still
+//! meets its deadline.
+//!
 //! # Worker-kill injection
 //!
 //! The service torture harness needs to SIGKILL workers on a seeded
 //! schedule to prove the daemon survives. [`arm_kills`] arms a
 //! process-global plan: while armed, each spawned cell draws once and,
-//! if selected, is killed after a seeded delay inside the poll loop.
+//! if selected, is killed after a seeded delay while the supervisor
+//! waits.
 //! The parent observes an ordinary signal death — indistinguishable from
 //! the OOM killer — and applies its normal transient-retry policy.
 
 use std::io::Read;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::sweep::{CellFailure, FailureClass, SweepCell};
 use dashlat_sim::json::Value;
 use dashlat_sim::Xorshift;
-
-/// How often the supervisor polls a running cell.
-const POLL: Duration = Duration::from_millis(20);
 
 /// Environment variable overriding the binary used to spawn cell
 /// subprocesses. By default the current executable is re-invoked (it is
@@ -139,26 +149,36 @@ pub fn run_cell_subprocess(cell: &SweepCell, timeout: Duration) -> Result<u64, C
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    let mut child = cmd
+    let child = cmd
         .spawn()
         .map_err(|e| CellFailure::transient(format!("cannot spawn cell subprocess: {e}")))?;
-    let kill_after = draw_kill();
+    supervise(child, timeout)
+}
 
+/// Waits for a spawned cell (stdout piped) to finish, enforcing the
+/// wall-clock `timeout` and any armed worker kill, then classifies its
+/// record and exit status. See the module docs for how it waits.
+fn supervise(mut child: Child, timeout: Duration) -> Result<u64, CellFailure> {
     let start = Instant::now();
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {
-                if let Some(delay) = kill_after {
-                    if start.elapsed() >= delay {
-                        // Injected worker kill: a real SIGKILL, so the
-                        // child dies exactly like an OOM-killed worker
-                        // and the normal signal-death path below runs.
-                        let _ = child.kill();
-                        record_kill();
-                    }
+    let deadline = start + timeout;
+    let mut kill_at = draw_kill().map(|delay| start + delay);
+    let rx = spawn_reader(&mut child);
+
+    let stdout = loop {
+        let wake = kill_at.map_or(deadline, |k| k.min(deadline));
+        match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            Ok(stdout) => break stdout,
+            Err(RecvTimeoutError::Timeout) => {
+                let now = Instant::now();
+                if kill_at.is_some_and(|k| now >= k) {
+                    // Injected worker kill: a real SIGKILL, so the child
+                    // dies exactly like an OOM-killed worker and the
+                    // normal signal-death path below runs.
+                    kill_at = None;
+                    let _ = child.kill();
+                    record_kill();
                 }
-                if start.elapsed() >= timeout {
+                if now >= deadline {
                     let _ = child.kill();
                     let _ = child.wait();
                     return Err(CellFailure::transient(format!(
@@ -166,22 +186,19 @@ pub fn run_cell_subprocess(cell: &SweepCell, timeout: Duration) -> Result<u64, C
                         timeout.as_secs()
                     )));
                 }
-                std::thread::sleep(POLL);
             }
-            Err(e) => {
-                return Err(CellFailure::transient(format!(
-                    "waiting for cell subprocess: {e}"
-                )))
+            Err(RecvTimeoutError::Disconnected) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(CellFailure::transient(
+                    "cell output reader stopped before the cell exited",
+                ));
             }
         }
     };
-
-    // One short record line fits far inside the pipe buffer, so reading
-    // after exit cannot deadlock.
-    let mut stdout = String::new();
-    if let Some(mut s) = child.stdout.take() {
-        let _ = s.read_to_string(&mut stdout);
-    }
+    let status = child
+        .wait()
+        .map_err(|e| CellFailure::transient(format!("waiting for cell subprocess: {e}")))?;
     let record = stdout.lines().rev().find(|l| !l.trim().is_empty());
 
     if status.success() {
@@ -206,6 +223,57 @@ pub fn run_cell_subprocess(cell: &SweepCell, timeout: Duration) -> Result<u64, C
         }),
     }
 }
+
+/// Starts the thread that drains `child`'s stdout and, once the child
+/// has also exited, sends what it read. EOF alone is not enough: a child
+/// may close stdout and keep running. The thread is detached rather than
+/// joined, since after a deadline kill a grandchild may still hold the
+/// pipe open; a panic in it reaches the supervisor as a disconnected
+/// channel.
+fn spawn_reader(child: &mut Child) -> Receiver<String> {
+    let (tx, rx) = mpsc::channel();
+    let stdout = child.stdout.take();
+    let pid = child.id();
+    std::thread::spawn(move || {
+        let mut out = String::new();
+        if let Some(mut s) = stdout {
+            let _ = s.read_to_string(&mut out);
+        }
+        await_exit(pid);
+        let _ = tx.send(out);
+    });
+    rx
+}
+
+/// Blocks until child `pid` has exited, leaving it unreaped: the pid
+/// stays the supervisor's to kill and `wait` on, so neither can hit a
+/// recycled pid.
+#[cfg(target_os = "linux")]
+fn await_exit(pid: u32) {
+    const P_PID: i32 = 1;
+    const WEXITED: i32 = 4;
+    const WNOWAIT: i32 = 0x0100_0000;
+    extern "C" {
+        /// `waitid(2)`; `std` links libc, so no crate dependency is
+        /// needed for this one symbol.
+        fn waitid(idtype: i32, id: u32, infop: *mut u8, options: i32) -> i32;
+    }
+    // `siginfo_t` is 128 bytes on every Linux ABI.
+    let mut info = [0u64; 16];
+    loop {
+        // SAFETY: `info` is a writable buffer the size of `siginfo_t`;
+        // WNOWAIT leaves the child's state untouched.
+        let rc = unsafe { waitid(P_PID, pid, info.as_mut_ptr().cast(), WEXITED | WNOWAIT) };
+        if rc == 0 || std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            return;
+        }
+    }
+}
+
+/// Without a non-reaping wait, EOF on stdout stands in for exit; the
+/// final reap then blocks until the child really exits.
+#[cfg(not(target_os = "linux"))]
+fn await_exit(_pid: u32) {}
 
 fn parse_ok(line: &str) -> Option<u64> {
     Value::parse(line).ok()?.get("ok")?.as_u64()
@@ -239,6 +307,98 @@ pub fn render_record(outcome: &Result<u64, CellFailure>) -> String {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that arm the process-global kill plan or
+    /// supervise a child (which draws from it).
+    static KILL_PLAN_LOCK: Mutex<()> = Mutex::new(());
+
+    fn kill_plan_lock() -> std::sync::MutexGuard<'static, ()> {
+        KILL_PLAN_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[cfg(unix)]
+    fn sh(script: &str) -> Child {
+        Command::new("/bin/sh")
+            .arg("-c")
+            .arg(script)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn /bin/sh")
+    }
+
+    /// Supervises `script` under `timeout` and returns the outcome with
+    /// the wall time it took.
+    #[cfg(unix)]
+    fn supervise_sh(script: &str, timeout: Duration) -> (Result<u64, CellFailure>, Duration) {
+        let start = Instant::now();
+        let outcome = supervise(sh(script), timeout);
+        (outcome, start.elapsed())
+    }
+
+    /// Headroom over a timeout for a loaded host to kill and reap.
+    #[cfg(unix)]
+    const SLACK: Duration = Duration::from_secs(3);
+
+    #[cfg(unix)]
+    #[test]
+    fn supervisor_returns_the_record_of_a_child_that_exits() {
+        let _guard = kill_plan_lock();
+        let (outcome, _) = supervise_sh("echo noise; echo '{\"ok\":42}'", Duration::from_secs(30));
+        assert_eq!(outcome, Ok(42));
+        let (outcome, _) = supervise_sh(
+            "echo '{\"err\":{\"error\":\"deadlock\",\"code\":2,\"class\":\"permanent\"}}'; exit 2",
+            Duration::from_secs(30),
+        );
+        let failure = outcome.expect_err("err record");
+        assert_eq!((failure.error.as_str(), failure.code), ("deadlock", 2));
+        assert!(!is_worker_crash(&failure));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn supervisor_kills_a_child_that_outlives_its_timeout() {
+        let _guard = kill_plan_lock();
+        let timeout = Duration::from_millis(300);
+        let (outcome, took) = supervise_sh("exec sleep 30", timeout);
+        let failure = outcome.expect_err("timeout");
+        assert!(failure.error.contains("wall-clock timeout"), "{failure:?}");
+        assert_eq!(failure.class, FailureClass::Transient);
+        assert!(took >= timeout && took < timeout + SLACK, "took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn supervisor_deadline_holds_after_the_child_closes_stdout() {
+        let _guard = kill_plan_lock();
+        let timeout = Duration::from_millis(300);
+        let (outcome, took) = supervise_sh("exec >&-; exec sleep 30", timeout);
+        let failure = outcome.expect_err("timeout");
+        assert!(failure.error.contains("wall-clock timeout"), "{failure:?}");
+        assert!(took >= timeout && took < timeout + SLACK, "took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn armed_kill_plan_kills_every_cell_by_signal() {
+        let _guard = kill_plan_lock();
+        arm_kills(KillPlan {
+            seed: 7,
+            kill_prob: 1.0,
+            max_delay_ms: 0,
+        });
+        let cells = 3;
+        for _ in 0..cells {
+            let (outcome, _) = supervise_sh("exec sleep 30", Duration::from_secs(30));
+            let failure = outcome.expect_err("killed");
+            assert!(failure.error.contains("killed by a signal"), "{failure:?}");
+            assert!(is_worker_crash(&failure));
+        }
+        assert_eq!(disarm_kills(), cells);
+    }
+
     #[test]
     fn record_lines_round_trip() {
         assert_eq!(parse_ok(&render_record(&Ok(42))), Some(42));
@@ -256,6 +416,7 @@ mod tests {
 
     #[test]
     fn kill_plan_draws_are_deterministic_and_disarm_is_safe() {
+        let _guard = kill_plan_lock();
         // Drawing directly (not spawning) keeps this test hermetic.
         let draw_all = |seed: u64| -> Vec<Option<Duration>> {
             arm_kills(KillPlan {

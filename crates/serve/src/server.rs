@@ -32,10 +32,11 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dashlat::cellcache::CellMemo;
@@ -58,6 +59,10 @@ const MAX_EVENT_WAIT_SECS: u64 = 30;
 
 /// How often a long poll re-checks the journal and the client's pulse.
 const EVENT_POLL: Duration = Duration::from_millis(25);
+
+/// How often the shutdown waker checks the stop flag (the daemon's
+/// shutdown latency).
+const STOP_POLL: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -256,6 +261,31 @@ impl Server {
         self.stop.load(Ordering::SeqCst) || signal::shutdown_requested()
     }
 
+    /// Spawns the thread that wakes the blocked accept loop for a
+    /// shutdown. The stop flag can be set from a signal handler, which
+    /// can wake nothing, so while `accepting` holds the waker checks the
+    /// flag every [`STOP_POLL`] and, when it is set, connects to `addr`,
+    /// the listener itself: `accept` returns and the loop sees the flag.
+    /// It keeps checking after a connection, because the signal flag can
+    /// be reset before the loop reads it.
+    fn spawn_stop_waker(
+        self: &Arc<Self>,
+        addr: SocketAddr,
+        accepting: Arc<AtomicBool>,
+    ) -> JoinHandle<()> {
+        let server = Arc::clone(self);
+        std::thread::spawn(move || {
+            while accepting.load(Ordering::SeqCst) {
+                if server.stop_requested() {
+                    if let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+                        eprintln!("shutdown waker cannot reach {addr} (retrying): {e}");
+                    }
+                }
+                std::thread::park_timeout(STOP_POLL);
+            }
+        })
+    }
+
     fn job_dir(&self, id: u64) -> PathBuf {
         self.cfg.data_dir.join("jobs").join(id.to_string())
     }
@@ -274,7 +304,6 @@ impl Server {
         let listener = TcpListener::bind(&self.cfg.addr)?;
         let local = listener.local_addr()?;
         atomic_write(&self.cfg.data_dir.join("addr"), &format!("{local}\n"))?;
-        listener.set_nonblocking(true)?;
         println!(
             "dashlat serve: listening on {local}, {} worker(s), queue depth {}, data dir {}",
             self.cfg.workers,
@@ -289,8 +318,13 @@ impl Server {
             })
             .collect();
 
+        let accepting = Arc::new(AtomicBool::new(true));
+        let waker = self.spawn_stop_waker(wake_addr(local), Arc::clone(&accepting));
         while !self.stop_requested() {
             match listener.accept() {
+                // Checked again after the wake-up, so the waker's own
+                // connection is never served.
+                Ok(_) if self.stop_requested() => break,
                 Ok((stream, _peer)) => {
                     let server = Arc::clone(self);
                     let active = self.conns.fetch_add(1, Ordering::SeqCst) + 1;
@@ -307,17 +341,19 @@ impl Server {
                         });
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
                 Err(e) => {
                     // Transient accept failures (EMFILE, ECONNABORTED)
-                    // must not kill the daemon.
+                    // must not kill the daemon; the pause keeps a
+                    // persistent one from spinning.
                     eprintln!("accept error (continuing): {e}");
                     std::thread::sleep(Duration::from_millis(100));
                 }
             }
         }
+        accepting.store(false, Ordering::SeqCst);
+        waker.thread().unpark();
+        waker.join().expect("shutdown waker panicked");
+        drop(listener);
 
         // Graceful drain: stop admitting, interrupt running sweeps at
         // their next cell boundary, leave queued jobs queued (they
@@ -1010,6 +1046,19 @@ impl Server {
                 .map_or_else(|| "null".to_owned(), |c| c.to_string())
         )
     }
+}
+
+/// The address the shutdown waker connects to: the bound address, with
+/// an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        let loopback: IpAddr = match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        bound.set_ip(loopback);
+    }
+    bound
 }
 
 /// After answering a request that was never fully read (shed, timed

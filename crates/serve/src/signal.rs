@@ -1,9 +1,10 @@
 //! SIGTERM/SIGINT handling without a signal-handling dependency.
 //!
-//! The daemon's whole shutdown protocol is "set one flag": the accept
-//! loop polls [`shutdown_requested`] and, once it flips, stops admitting
-//! work, checkpoints in-flight sweeps at the next cell boundary, and
-//! exits 0. A signal handler that only stores to an atomic is
+//! The daemon's whole shutdown protocol is "set one flag": a waker
+//! thread polls [`shutdown_requested`] and, once it flips, connects to
+//! the daemon's own listener, so the accept loop wakes, sees the flag,
+//! stops admitting work, checkpoints in-flight sweeps at the next cell
+//! boundary, and exits 0. A signal handler that only stores to an atomic is
 //! async-signal-safe, so the raw `signal(2)` registration below (via the
 //! libc that `std` already links) is all the machinery needed — no
 //! `libc` crate, no signal-hook, no runtime.

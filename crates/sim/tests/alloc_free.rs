@@ -15,20 +15,35 @@
 //! reused) is invisible in unit tests but dominates a profile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dashlat_sim::{Cycle, EventQueue, QueueHints};
 
 /// Counts every allocation (and every growing reallocation) made through
-/// the global allocator. Frees are not counted: recycling is allowed to
-/// *return* memory, it just must not *acquire* any.
+/// the global allocator by a thread while it is armed. Frees are not
+/// counted: recycling is allowed to *return* memory, it just must not
+/// *acquire* any.
+///
+/// The flag and the count are per thread, so the test harness's threads
+/// and a concurrently running test cannot add to a measurement. Both are
+/// const-initialised `Cell`s without destructors: touching them from
+/// inside the allocator never allocates.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    if ARMED.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -38,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
-            ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+            count_allocation();
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -47,8 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+/// Runs `f` and returns how many allocations this thread made during it.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// One simulated workload round: a handful of events in the current
@@ -99,11 +119,11 @@ fn steady_state_dispatch_is_allocation_free() {
         batch.clear();
     }
 
-    let before = allocations();
-    for r in 200..2200 {
-        round(&mut q, &mut batch, r);
-    }
-    let during = allocations() - before;
+    let during = allocations_during(|| {
+        for r in 200..2200 {
+            round(&mut q, &mut batch, r);
+        }
+    });
     assert_eq!(
         during, 0,
         "steady-state schedule/drain performed {during} allocation(s); \
@@ -120,14 +140,14 @@ fn pre_sizing_makes_even_the_first_cycles_allocation_free() {
         overflow_capacity: 8,
     });
     let mut batch: Vec<u64> = Vec::with_capacity(8);
-    let before = allocations();
-    for i in 0..8 {
-        q.schedule(Cycle(i % 4), i);
-    }
-    while q.drain_next_into(&mut batch).is_some() {
-        batch.clear();
-    }
-    let during = allocations() - before;
+    let during = allocations_during(|| {
+        for i in 0..8 {
+            q.schedule(Cycle(i % 4), i);
+        }
+        while q.drain_next_into(&mut batch).is_some() {
+            batch.clear();
+        }
+    });
     assert_eq!(
         during, 0,
         "pre-sized queue allocated {during} time(s) within its hinted capacity"
