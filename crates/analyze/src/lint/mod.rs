@@ -26,7 +26,7 @@ pub mod prefetch;
 pub mod report;
 pub mod skeleton;
 
-use dashlat_cpu::extract::{extract_program, ExtractError, ExtractOptions};
+use dashlat_cpu::extract::{extract_program, ExtractError};
 use dashlat_cpu::ops::Workload;
 use dashlat_cpu::trace::Trace;
 use dashlat_mem::latency::LatencyTable;
@@ -46,8 +46,6 @@ pub struct LintOptions {
     /// Miss latency a read-exclusive prefetch or write must cover
     /// (defaults to the DASH remote ownership acquisition).
     pub write_miss_cycles: u64,
-    /// Extraction op budget.
-    pub max_total_ops: usize,
 }
 
 impl LintOptions {
@@ -56,7 +54,6 @@ impl LintOptions {
         LintOptions {
             read_miss_cycles: lat.read_fill_remote.as_u64(),
             write_miss_cycles: lat.write_owned_remote.as_u64(),
-            max_total_ops: ExtractOptions::default().max_total_ops,
         }
     }
 }
@@ -111,12 +108,7 @@ pub fn lint_workload<W: Workload + ?Sized>(
     workload: &W,
     opts: &LintOptions,
 ) -> Result<LintReport, ExtractError> {
-    let ext = extract_program(
-        workload,
-        ExtractOptions {
-            max_total_ops: opts.max_total_ops,
-        },
-    )?;
+    let ext = extract_program(workload)?;
     let notes = ext.notes.iter().map(ToString::to_string).collect();
     Ok(lint_trace(
         subject,

@@ -107,7 +107,6 @@ mod tests {
             &LintOptions {
                 read_miss_cycles: 90,
                 write_miss_cycles: 82,
-                ..LintOptions::default()
             },
         )
     }

@@ -32,26 +32,23 @@ use dashlat::cellcache::CellMemo;
 use dashlat::experiments::figure_configs;
 use dashlat::{effective_jobs, run_matrix_jobs_memo, ExperimentConfig};
 use dashlat_bench::calibrate;
+use dashlat_sim::json::Value;
 
-/// Extracts the number following `"key":` from `json`, starting the scan
-/// at `from`. Good enough for the flat records `perf` emits; a structural
-/// change to the JSON shows up as a loud parse failure here.
-fn extract_f64(json: &str, key: &str, from: usize) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json[from..].find(&needle)? + from + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The recorded calibration score of a `perf --out` baseline.
+fn baseline_calibration(baseline: &Value) -> Option<f64> {
+    baseline.get("calibration_events_per_sec")?.as_f64()
 }
 
-/// Baseline events/sec for one figure: locates the `"figure": N` object
-/// and reads its `events_per_sec`.
-fn baseline_events_per_sec(json: &str, figure: u8) -> Option<f64> {
-    let marker = format!("\"figure\": {figure},");
-    let at = json.find(&marker)?;
-    extract_f64(json, "events_per_sec", at)
+/// Baseline events/sec for one figure: the `events_per_sec` of the
+/// `figures[]` entry whose `figure` is `figure`.
+fn baseline_events_per_sec(baseline: &Value, figure: u8) -> Option<f64> {
+    baseline
+        .get("figures")?
+        .as_arr()?
+        .iter()
+        .find(|f| f.get("figure").and_then(Value::as_u64) == Some(u64::from(figure)))?
+        .get("events_per_sec")?
+        .as_f64()
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -81,7 +78,9 @@ fn main() -> ExitCode {
 
     let baseline = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let recorded_calibration = extract_f64(&baseline, "calibration_events_per_sec", 0)
+    let baseline = Value::parse(&baseline)
+        .unwrap_or_else(|e| panic!("baseline {baseline_path} is not valid JSON: {e}"));
+    let recorded_calibration = baseline_calibration(&baseline)
         .expect("baseline has no calibration_events_per_sec; regenerate it with `perf --out`");
 
     println!(
@@ -171,4 +170,22 @@ fn main() -> ExitCode {
     }
     println!("\nbench-gate: ok");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_the_committed_baseline() {
+        let text =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json"))
+                .expect("BENCH_8.json");
+        let baseline = Value::parse(&text).expect("valid JSON");
+        assert_eq!(baseline_calibration(&baseline), Some(16_498_510.0));
+        assert_eq!(baseline_events_per_sec(&baseline, 2), Some(19_508_467.0));
+        assert_eq!(baseline_events_per_sec(&baseline, 3), Some(34_928_440.0));
+        assert_eq!(baseline_events_per_sec(&baseline, 7), None);
+        assert_eq!(baseline_calibration(&Value::parse("{}").unwrap()), None);
+    }
 }

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dashlat_sim::hasher::Fnv64;
 use dashlat_sim::journal::{atomic_write, Journal};
 use dashlat_sim::json::{quote, Value};
 
@@ -103,24 +104,15 @@ impl SweepPlan {
     /// splicing cells measured under a different configuration into this
     /// run's results.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            // Field separator so concatenations can't collide.
-            h ^= 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        eat(self.name.as_bytes());
+        let mut h = Fnv64::default();
+        h.field(self.name.as_bytes());
         for cell in &self.cells {
-            eat(cell.app.name().as_bytes());
-            eat(cell.sweep.as_bytes());
-            eat(cell.point.as_bytes());
-            eat(format!("{:?}", cell.config).as_bytes());
+            h.field(cell.app.name().as_bytes());
+            h.field(cell.sweep.as_bytes());
+            h.field(cell.point.as_bytes());
+            h.field(format!("{:?}", cell.config).as_bytes());
         }
-        h
+        h.finish()
     }
 }
 
@@ -140,18 +132,10 @@ pub fn cell_fingerprint(cell: &SweepCell) -> u64 {
 /// rather than a [`SweepCell`] — the in-process result memo
 /// ([`crate::cellcache::CellMemo`]) keys on this before a cell exists.
 pub fn work_fingerprint(app: App, config: &ExperimentConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    eat(app.name().as_bytes());
-    eat(format!("{config:?}").as_bytes());
-    h
+    let mut h = Fnv64::default();
+    h.field(app.name().as_bytes());
+    h.field(format!("{config:?}").as_bytes());
+    h.finish()
 }
 
 /// The delay in milliseconds before transient-failure retry `attempt`
@@ -1119,6 +1103,24 @@ mod tests {
         assert_ne!(fp, reordered.fingerprint());
 
         assert_eq!(fp, plan.clone().fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_are_a_persistent_format() {
+        // Journal headers and result-cache file names store these values,
+        // so they must never change.
+        assert_eq!(
+            SweepPlan::figure(2, &ExperimentConfig::base_test()).fingerprint(),
+            0x94e2_c5d2_e126_e5ca
+        );
+        assert_eq!(
+            work_fingerprint(App::Mp3d, &ExperimentConfig::base_test()),
+            0x42ad_7161_ad20_796c
+        );
+        assert_eq!(
+            work_fingerprint(App::Lu, &ExperimentConfig::base()),
+            0x21b3_aea2_bb16_4f2e
+        );
     }
 
     #[test]

@@ -10,18 +10,20 @@
 //!   order is exactly the order the memory system observed;
 //! * [`events_from_trace`], a fault-tolerant logical replayer that turns a
 //!   serialized [`Trace`] into the same stream without simulating timing.
-//!   It is deliberately forgiving: a trace with a *dropped Release* (the
+//!   It runs the trace under the same logical scheduler that program
+//!   extraction ([`crate::extract`]) uses, so a program and its extracted
+//!   trace are ordered, and forced, identically. The scheduler is
+//!   deliberately forgiving: a trace with a *dropped Release* (the
 //!   labeling bug the analyzer exists to find) would deadlock a strict
 //!   replayer, so stuck locks are force-granted and diverged barriers
-//!   force-released — with the crucial property that forced transitions
-//!   contribute **no happens-before edge**, letting the detector report the
-//!   race instead of hanging.
-
-use std::collections::VecDeque;
+//!   force-released, each recorded as a [`SyncNote`] — with the crucial
+//!   property that forced transitions contribute **no happens-before
+//!   edge**, letting the detector report the race instead of hanging.
 
 use dashlat_mem::addr::Addr;
 use dashlat_sim::Cycle;
 
+use crate::logical::{self, OpSource, SyncNote};
 use crate::ops::{BarrierId, LockId, Op, ProcId, SyncConfig};
 use crate::trace::Trace;
 
@@ -69,69 +71,6 @@ pub struct AnalysisEvent {
     pub kind: EventKind,
 }
 
-/// Diagnostics the fault-tolerant replayer records when a trace does not
-/// replay cleanly. A well-formed trace produces none.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayNote {
-    /// A process was stuck acquiring a lock nobody was going to release;
-    /// the replayer granted it anyway (with no ordering edge).
-    ForcedGrant {
-        /// The lock involved.
-        lock: LockId,
-        /// The process that received the forced grant.
-        pid: ProcId,
-        /// Who held the lock at that point, if anyone.
-        holder: Option<ProcId>,
-    },
-    /// A barrier episode could never complete (some process was stuck or
-    /// finished); the arrived processes were released without an episode.
-    ForcedBarrier {
-        /// The barrier involved.
-        barrier: BarrierId,
-        /// How many processes had arrived.
-        arrived: usize,
-        /// How many were expected.
-        expected: usize,
-    },
-    /// A process released a lock it did not hold.
-    BadRelease {
-        /// The lock involved.
-        lock: LockId,
-        /// The releasing process.
-        pid: ProcId,
-        /// The actual holder, if any.
-        holder: Option<ProcId>,
-    },
-}
-
-impl std::fmt::Display for ReplayNote {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayNote::ForcedGrant { lock, pid, holder } => match holder {
-                Some(h) => write!(
-                    f,
-                    "lock {} force-granted to {pid} while held by {h} (missing Release?)",
-                    lock.0
-                ),
-                None => write!(f, "lock {} force-granted to {pid}", lock.0),
-            },
-            ReplayNote::ForcedBarrier {
-                barrier,
-                arrived,
-                expected,
-            } => write!(
-                f,
-                "barrier {} force-released with {arrived}/{expected} arrivals",
-                barrier.0
-            ),
-            ReplayNote::BadRelease { lock, pid, holder } => match holder {
-                Some(h) => write!(f, "{pid} released lock {} held by {h}", lock.0),
-                None => write!(f, "{pid} released lock {} that nobody held", lock.0),
-            },
-        }
-    }
-}
-
 /// An ordered stream of analysis events plus the context the passes need.
 #[derive(Debug, Clone)]
 pub struct EventLog {
@@ -142,7 +81,7 @@ pub struct EventLog {
     /// The events, in commit order.
     pub events: Vec<AnalysisEvent>,
     /// Replay diagnostics (always empty for machine-produced logs).
-    pub notes: Vec<ReplayNote>,
+    pub notes: Vec<SyncNote>,
 }
 
 impl EventLog {
@@ -167,229 +106,81 @@ impl EventLog {
     }
 }
 
-/// Per-process replay cursor.
-struct ReplayProc {
-    ops: VecDeque<Op>,
-    /// Index of the *next* op within the original stream.
-    next_index: u64,
-    blocked: Option<Blocked>,
-    finished: bool,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    OnLock(LockId),
-    OnBarrier(BarrierId),
-}
-
 /// Replays a [`Trace`] logically (no timing model) into an [`EventLog`].
 ///
-/// Scheduling is deterministic round-robin, one operation per runnable
-/// process per round; event `cycle` stamps are a global sequence number.
-/// Lock grants are FIFO. When no process can make progress the replayer
-/// resolves the stall instead of hanging:
+/// Scheduling is the logical scheduler program extraction also uses:
+/// deterministic round-robin, one operation per runnable process per
+/// round, FIFO lock grants; each event's `cycle` stamp is its position in
+/// the log. When no process can make progress the replayer resolves the
+/// stall instead of hanging:
 ///
 /// 1. the barrier with the most arrivals is force-released
-///    ([`EventKind::BarrierForced`], [`ReplayNote::ForcedBarrier`]) — its
+///    ([`EventKind::BarrierForced`], [`SyncNote::ForcedBarrier`]) — its
 ///    episode produces no ordering edges; otherwise
 /// 2. the lowest-numbered process stuck on a lock is force-granted it
-///    ([`ReplayNote::ForcedGrant`]); the grant joins whatever clock the
+///    ([`SyncNote::ForcedGrant`]); the grant joins whatever clock the
 ///    lock last published, which for a dropped Release is *stale* — so the
 ///    detector still sees the missing edge.
 ///
-/// Releases of unheld locks are recorded ([`ReplayNote::BadRelease`]) and
+/// Releases of unheld locks are recorded ([`SyncNote::BadRelease`]) and
 /// otherwise ignored. A clean trace replays with an empty `notes` list.
 pub fn events_from_trace(trace: &Trace) -> EventLog {
     let nprocs = trace.streams.len();
-    let mut log = EventLog::new(nprocs, trace.sync.clone());
-    let mut procs: Vec<ReplayProc> = trace
-        .streams
-        .iter()
-        .map(|s| ReplayProc {
-            ops: s.iter().copied().collect(),
-            next_index: 0,
-            blocked: None,
-            finished: s.is_empty(),
-        })
-        .collect();
-    let mut holder: Vec<Option<ProcId>> = vec![None; trace.sync.lock_addrs.len().max(64)];
-    let mut waiters: Vec<VecDeque<ProcId>> = vec![VecDeque::new(); holder.len()];
-    let mut arrived: Vec<Vec<ProcId>> = vec![Vec::new(); trace.sync.barrier_addrs.len().max(64)];
-    let mut seq: u64 = 0;
+    let mut replay = Replay {
+        streams: &trace.streams,
+        log: EventLog::new(nprocs, trace.sync.clone()),
+    };
+    replay.log.notes = logical::run(nprocs, &mut replay, usize::MAX).notes;
+    replay.log
+}
 
-    // Grows the per-lock/per-barrier tables on demand (traces may use ids
-    // beyond their declared addresses).
-    fn ensure<T: Default + Clone>(v: &mut Vec<T>, i: usize) {
-        if i >= v.len() {
-            v.resize(i + 1, T::default());
-        }
-    }
+/// [`events_from_trace`]'s op source: reads the trace's streams and
+/// records every operation that takes effect as an event.
+struct Replay<'a> {
+    streams: &'a [Vec<Op>],
+    log: EventLog,
+}
 
-    loop {
-        let mut progressed = false;
-        for p in 0..nprocs {
-            if procs[p].finished || procs[p].blocked.is_some() {
-                continue;
-            }
-            let Some(op) = procs[p].ops.front().copied() else {
-                procs[p].finished = true;
-                continue;
-            };
-            let op_index = procs[p].next_index;
-            let pid = ProcId(p);
-            let emit = |log: &mut EventLog, seq: &mut u64, kind: EventKind| {
-                log.events.push(AnalysisEvent {
-                    pid,
-                    op_index,
-                    cycle: Cycle(*seq),
-                    kind,
-                });
-                *seq += 1;
-            };
-            match op {
-                Op::Compute(_) => {}
-                Op::Read(a) => emit(&mut log, &mut seq, EventKind::Read(a)),
-                Op::Write(a) => emit(&mut log, &mut seq, EventKind::Write(a)),
-                // An RMW reads and writes the location atomically; for
-                // happens-before purposes the write side dominates.
-                Op::Rmw(a) => emit(&mut log, &mut seq, EventKind::Write(a)),
-                Op::Prefetch { addr, exclusive } => {
-                    emit(&mut log, &mut seq, EventKind::Prefetch { addr, exclusive });
-                }
-                Op::Acquire(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    if holder[l.0].is_none() && waiters[l.0].is_empty() {
-                        holder[l.0] = Some(pid);
-                        emit(&mut log, &mut seq, EventKind::Acquire(l));
-                    } else {
-                        // Block; the grant (and its event) happens at the
-                        // matching Release, FIFO.
-                        waiters[l.0].push_back(pid);
-                        procs[p].blocked = Some(Blocked::OnLock(l));
-                        // The op itself is consumed when the grant fires.
-                        progressed = true;
-                        continue;
-                    }
-                }
-                Op::Release(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    emit(&mut log, &mut seq, EventKind::Release(l));
-                    if holder[l.0] == Some(pid) {
-                        holder[l.0] = None;
-                        if let Some(next) = waiters[l.0].pop_front() {
-                            holder[l.0] = Some(next);
-                            let grant_index = procs[next.0].next_index;
-                            log.events.push(AnalysisEvent {
-                                pid: next,
-                                op_index: grant_index,
-                                cycle: Cycle(seq),
-                                kind: EventKind::Acquire(l),
-                            });
-                            seq += 1;
-                            procs[next.0].blocked = None;
-                            procs[next.0].ops.pop_front();
-                            procs[next.0].next_index += 1;
-                        }
-                    } else {
-                        log.notes.push(ReplayNote::BadRelease {
-                            lock: l,
-                            pid,
-                            holder: holder[l.0],
-                        });
-                    }
-                }
-                Op::Barrier(b) => {
-                    ensure(&mut arrived, b.0);
-                    arrived[b.0].push(pid);
-                    emit(&mut log, &mut seq, EventKind::BarrierArrive(b));
-                    procs[p].ops.pop_front();
-                    procs[p].next_index += 1;
-                    progressed = true;
-                    if arrived[b.0].len() == nprocs {
-                        for q in arrived[b.0].drain(..) {
-                            procs[q.0].blocked = None;
-                        }
-                    } else {
-                        procs[p].blocked = Some(Blocked::OnBarrier(b));
-                    }
-                    continue;
-                }
-                Op::Done => {
-                    emit(&mut log, &mut seq, EventKind::Done);
-                    procs[p].finished = true;
-                }
-            }
-            procs[p].ops.pop_front();
-            procs[p].next_index += 1;
-            progressed = true;
-        }
-        if procs.iter().all(|pr| pr.finished) {
-            break;
-        }
-        if progressed {
-            continue;
-        }
-        // Global stall: every unfinished process is blocked. Resolve
-        // deterministically, never adding a happens-before edge.
-        let best_barrier = arrived
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .max_by_key(|(i, v)| (v.len(), usize::MAX - i));
-        if let Some((b, _)) = best_barrier {
-            let b = BarrierId(b);
-            let stuck: Vec<ProcId> = arrived[b.0].drain(..).collect();
-            log.notes.push(ReplayNote::ForcedBarrier {
-                barrier: b,
-                arrived: stuck.len(),
-                expected: nprocs,
-            });
-            log.events.push(AnalysisEvent {
-                pid: stuck[0],
-                op_index: procs[stuck[0].0].next_index,
-                cycle: Cycle(seq),
-                kind: EventKind::BarrierForced(b),
-            });
-            seq += 1;
-            for q in stuck {
-                if procs[q.0].blocked == Some(Blocked::OnBarrier(b)) {
-                    procs[q.0].blocked = None;
-                }
-            }
-            continue;
-        }
-        let stuck_on_lock = (0..nprocs).find_map(|p| match procs[p].blocked {
-            Some(Blocked::OnLock(l)) if !procs[p].finished => Some((p, l)),
-            _ => None,
+impl Replay<'_> {
+    fn emit(&mut self, pid: ProcId, op_index: u64, kind: EventKind) {
+        let cycle = Cycle(self.log.events.len() as u64);
+        self.log.events.push(AnalysisEvent {
+            pid,
+            op_index,
+            cycle,
+            kind,
         });
-        if let Some((p, l)) = stuck_on_lock {
-            let pid = ProcId(p);
-            log.notes.push(ReplayNote::ForcedGrant {
-                lock: l,
-                pid,
-                holder: holder[l.0],
-            });
-            holder[l.0] = Some(pid);
-            waiters[l.0].retain(|&w| w != pid);
-            log.events.push(AnalysisEvent {
-                pid,
-                op_index: procs[p].next_index,
-                cycle: Cycle(seq),
-                kind: EventKind::Acquire(l),
-            });
-            seq += 1;
-            procs[p].blocked = None;
-            procs[p].ops.pop_front();
-            procs[p].next_index += 1;
-            continue;
-        }
-        // Nothing left to force (cannot happen for non-empty streams, but
-        // never hang).
-        break;
     }
-    log
+}
+
+impl OpSource for Replay<'_> {
+    fn next_op(&mut self, pid: ProcId, index: u64) -> Option<Op> {
+        self.streams[pid.0].get(index as usize).copied()
+    }
+
+    fn issued(&mut self, pid: ProcId, index: u64, op: Op) {
+        let kind = match op {
+            Op::Compute(_) => return,
+            Op::Read(a) => EventKind::Read(a),
+            // An RMW reads and writes the location atomically; for
+            // happens-before purposes the write side dominates.
+            Op::Write(a) | Op::Rmw(a) => EventKind::Write(a),
+            Op::Prefetch { addr, exclusive } => EventKind::Prefetch { addr, exclusive },
+            Op::Acquire(l) => EventKind::Acquire(l),
+            Op::Release(l) => EventKind::Release(l),
+            Op::Barrier(b) => EventKind::BarrierArrive(b),
+            Op::Done => EventKind::Done,
+        };
+        self.emit(pid, index, kind);
+    }
+
+    fn granted(&mut self, pid: ProcId, index: u64, lock: LockId) {
+        self.emit(pid, index, EventKind::Acquire(lock));
+    }
+
+    fn barrier_forced(&mut self, pid: ProcId, index: u64, barrier: BarrierId) {
+        self.emit(pid, index, EventKind::BarrierForced(barrier));
+    }
 }
 
 #[cfg(test)]
@@ -492,7 +283,7 @@ mod tests {
         let log = events_from_trace(&t);
         assert!(log.notes.iter().any(|n| matches!(
             n,
-            ReplayNote::ForcedGrant {
+            SyncNote::ForcedGrant {
                 lock: LockId(0),
                 pid: ProcId(1),
                 ..
@@ -511,7 +302,7 @@ mod tests {
         let log = events_from_trace(&t);
         assert!(log.notes.iter().any(|n| matches!(
             n,
-            ReplayNote::ForcedBarrier {
+            SyncNote::ForcedBarrier {
                 barrier: BarrierId(0),
                 arrived: 1,
                 expected: 2,
@@ -530,7 +321,7 @@ mod tests {
         let log = events_from_trace(&t);
         assert!(log.notes.iter().any(|n| matches!(
             n,
-            ReplayNote::BadRelease {
+            SyncNote::BadRelease {
                 lock: LockId(1),
                 pid: ProcId(0),
                 holder: None,

@@ -13,94 +13,20 @@
 //! stealing and spin loops) they are one representative fair schedule,
 //! which is what a whole-program lint needs.
 //!
-//! Like [`crate::events::events_from_trace`], the extractor is
-//! fault-tolerant rather than strict: a workload whose sync skeleton
-//! cannot make progress (a dropped `Release`, a diverged barrier) is
-//! force-resolved so extraction always terminates, and every forced
-//! transition is recorded as an [`ExtractNote`] — the static passes turn
-//! those into findings instead of hanging.
+//! The scheduler is the one [`crate::events::events_from_trace`] replays
+//! traces with, so a workload and its extracted trace are ordered, and
+//! forced, identically. It is fault-tolerant rather than strict: a
+//! workload whose sync skeleton cannot make progress (a dropped
+//! `Release`, a diverged barrier) is force-resolved so extraction always
+//! terminates, and every forced transition is recorded as a [`SyncNote`]
+//! — the static passes turn those into findings instead of hanging. A
+//! fixed operation budget, far above any test-scale program, stops a
+//! non-terminating generator; the cut-short processes are reported as
+//! truncated.
 
-use std::collections::VecDeque;
-
-use crate::ops::{BarrierId, LockId, Op, ProcId, Workload};
+use crate::logical::{self, OpSource, SyncNote, MAX_TOTAL_OPS};
+use crate::ops::{Op, ProcId, Workload};
 use crate::trace::Trace;
-
-/// Knobs for [`extract_program`].
-#[derive(Debug, Clone, Copy)]
-pub struct ExtractOptions {
-    /// Total operation budget across all processes. Extraction stops and
-    /// reports truncation when the budget is exhausted (a backstop against
-    /// non-terminating generators, far above any test-scale program).
-    pub max_total_ops: usize,
-}
-
-impl Default for ExtractOptions {
-    fn default() -> Self {
-        ExtractOptions {
-            max_total_ops: 8_000_000,
-        }
-    }
-}
-
-/// A forced transition the logical scheduler had to make because the
-/// workload's own sync skeleton could not progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExtractNote {
-    /// A process was stuck acquiring a lock nobody was going to release;
-    /// the scheduler granted it anyway.
-    ForcedGrant {
-        /// The lock involved.
-        lock: LockId,
-        /// The process that received the forced grant.
-        pid: ProcId,
-        /// Who held the lock at that point, if anyone.
-        holder: Option<ProcId>,
-    },
-    /// A barrier episode could never complete (some process finished
-    /// without arriving); the arrived processes were released.
-    ForcedBarrier {
-        /// The barrier involved.
-        barrier: BarrierId,
-        /// How many processes had arrived.
-        arrived: usize,
-        /// How many were expected.
-        expected: usize,
-    },
-    /// A process released a lock it did not hold.
-    BadRelease {
-        /// The lock involved.
-        lock: LockId,
-        /// The releasing process.
-        pid: ProcId,
-    },
-}
-
-impl std::fmt::Display for ExtractNote {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExtractNote::ForcedGrant { lock, pid, holder } => match holder {
-                Some(h) => write!(
-                    f,
-                    "lock {} force-granted to {pid} while held by {h} (missing Release?)",
-                    lock.0
-                ),
-                None => write!(f, "lock {} force-granted to {pid}", lock.0),
-            },
-            ExtractNote::ForcedBarrier {
-                barrier,
-                arrived,
-                expected,
-            } => write!(
-                f,
-                "barrier {} force-released with {arrived}/{expected} arrivals",
-                barrier.0
-            ),
-            ExtractNote::BadRelease { lock, pid } => {
-                write!(f, "{pid} released lock {} it did not hold", lock.0)
-            }
-        }
-    }
-}
 
 /// The result of extracting a workload's program.
 #[derive(Debug, Clone)]
@@ -110,7 +36,7 @@ pub struct Extraction {
     pub trace: Trace,
     /// Forced scheduler transitions (empty for a well-synchronized
     /// workload).
-    pub notes: Vec<ExtractNote>,
+    pub notes: Vec<SyncNote>,
     /// Processes whose streams were cut short by the op budget.
     pub truncated: Vec<ProcId>,
 }
@@ -135,18 +61,6 @@ impl std::fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// Per-process extraction cursor.
-struct ExtProc {
-    blocked: Option<Blocked>,
-    finished: bool,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    OnLock(LockId),
-    OnBarrier(BarrierId),
-}
-
 /// Drives a forked copy of `workload` to completion under the logical
 /// scheduler and returns its per-process op streams as a [`Trace`].
 ///
@@ -158,158 +72,50 @@ enum Blocked {
 ///
 /// Returns [`ExtractError`] when the workload cannot be forked
 /// (`fork()` returns `None`).
-pub fn extract_program<W: Workload + ?Sized>(
-    workload: &W,
-    opts: ExtractOptions,
-) -> Result<Extraction, ExtractError> {
-    let mut w = workload
+pub fn extract_program<W: Workload + ?Sized>(workload: &W) -> Result<Extraction, ExtractError> {
+    let workload = workload
         .fork()
         .ok_or_else(|| ExtractError(format!("workload {:?} cannot fork", workload.name())))?;
-    let nprocs = w.processes();
+    let nprocs = workload.processes();
     if nprocs == 0 {
         return Err(ExtractError("workload declares zero processes".into()));
     }
-    let sync = w.sync_config();
-    let mut streams: Vec<Vec<Op>> = vec![Vec::new(); nprocs];
-    let mut procs: Vec<ExtProc> = (0..nprocs)
-        .map(|_| ExtProc {
-            blocked: None,
-            finished: false,
-        })
-        .collect();
-    let mut holder: Vec<Option<ProcId>> = vec![None; sync.lock_addrs.len().max(64)];
-    let mut waiters: Vec<VecDeque<ProcId>> = vec![VecDeque::new(); holder.len()];
-    let mut arrived: Vec<Vec<ProcId>> = vec![Vec::new(); sync.barrier_addrs.len().max(64)];
-    let mut notes = Vec::new();
-    let mut total = 0usize;
-    let mut truncated = Vec::new();
-
-    fn ensure<T: Default + Clone>(v: &mut Vec<T>, i: usize) {
-        if i >= v.len() {
-            v.resize(i + 1, T::default());
-        }
-    }
-
-    'outer: loop {
-        let mut progressed = false;
-        for p in 0..nprocs {
-            if procs[p].finished || procs[p].blocked.is_some() {
-                continue;
-            }
-            if total >= opts.max_total_ops {
-                truncated = (0..nprocs)
-                    .filter(|&q| !procs[q].finished)
-                    .map(ProcId)
-                    .collect();
-                break 'outer;
-            }
-            let pid = ProcId(p);
-            let op = w.next_op(pid);
-            streams[p].push(op);
-            total += 1;
-            progressed = true;
-            match op {
-                Op::Compute(_) | Op::Read(_) | Op::Write(_) | Op::Rmw(_) | Op::Prefetch { .. } => {}
-                Op::Acquire(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    if holder[l.0].is_none() && waiters[l.0].is_empty() {
-                        holder[l.0] = Some(pid);
-                    } else {
-                        waiters[l.0].push_back(pid);
-                        procs[p].blocked = Some(Blocked::OnLock(l));
-                    }
-                }
-                Op::Release(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    if holder[l.0] == Some(pid) {
-                        holder[l.0] = None;
-                        if let Some(next) = waiters[l.0].pop_front() {
-                            holder[l.0] = Some(next);
-                            procs[next.0].blocked = None;
-                        }
-                    } else {
-                        notes.push(ExtractNote::BadRelease { lock: l, pid });
-                    }
-                }
-                Op::Barrier(b) => {
-                    ensure(&mut arrived, b.0);
-                    arrived[b.0].push(pid);
-                    if arrived[b.0].len() == nprocs {
-                        for q in arrived[b.0].drain(..) {
-                            procs[q.0].blocked = None;
-                        }
-                    } else {
-                        procs[p].blocked = Some(Blocked::OnBarrier(b));
-                    }
-                }
-                Op::Done => procs[p].finished = true,
-            }
-        }
-        if procs.iter().all(|pr| pr.finished) {
-            break;
-        }
-        if progressed {
-            continue;
-        }
-        // Global stall: every unfinished process is blocked. Force the
-        // barrier with the most arrivals first, then the lowest stuck
-        // lock waiter — the same deterministic order as the trace
-        // replayer, so a buggy workload extracts the same program a
-        // recorded buggy trace replays.
-        let best_barrier = arrived
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .max_by_key(|(i, v)| (v.len(), usize::MAX - i));
-        if let Some((b, _)) = best_barrier {
-            let b = BarrierId(b);
-            let stuck: Vec<ProcId> = arrived[b.0].drain(..).collect();
-            notes.push(ExtractNote::ForcedBarrier {
-                barrier: b,
-                arrived: stuck.len(),
-                expected: nprocs,
-            });
-            for q in stuck {
-                if procs[q.0].blocked == Some(Blocked::OnBarrier(b)) {
-                    procs[q.0].blocked = None;
-                }
-            }
-            continue;
-        }
-        let stuck_on_lock = (0..nprocs).find_map(|p| match procs[p].blocked {
-            Some(Blocked::OnLock(l)) => Some((p, l)),
-            _ => None,
-        });
-        if let Some((p, l)) = stuck_on_lock {
-            let pid = ProcId(p);
-            notes.push(ExtractNote::ForcedGrant {
-                lock: l,
-                pid,
-                holder: holder[l.0],
-            });
-            holder[l.0] = Some(pid);
-            waiters[l.0].retain(|&q| q != pid);
-            procs[p].blocked = None;
-            continue;
-        }
-        break; // nothing to force (unreachable for non-empty programs)
-    }
+    let sync = workload.sync_config();
+    let mut source = Recorder {
+        workload,
+        streams: vec![Vec::new(); nprocs],
+    };
+    let schedule = logical::run(nprocs, &mut source, MAX_TOTAL_OPS);
     Ok(Extraction {
         trace: Trace {
-            streams,
+            streams: source.streams,
             sync,
             page_homes: None,
         },
-        notes,
-        truncated,
+        notes: schedule.notes,
+        truncated: schedule.truncated,
     })
+}
+
+/// [`extract_program`]'s op source: pulls from the forked workload and
+/// records every op it hands out.
+struct Recorder {
+    workload: Box<dyn Workload>,
+    streams: Vec<Vec<Op>>,
+}
+
+impl OpSource for Recorder {
+    fn next_op(&mut self, pid: ProcId, _index: u64) -> Option<Op> {
+        let op = self.workload.next_op(pid);
+        self.streams[pid.0].push(op);
+        Some(op)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{BarrierId, LockId};
     use crate::script::ScriptWorkload;
     use dashlat_mem::addr::Addr;
 
@@ -335,11 +141,7 @@ mod tests {
             Op::Barrier(BarrierId(0)),
             Op::Done,
         ];
-        let ext = extract_program(
-            &script(vec![s0.clone(), s1.clone()]),
-            ExtractOptions::default(),
-        )
-        .expect("extracts");
+        let ext = extract_program(&script(vec![s0.clone(), s1.clone()])).expect("extracts");
         assert!(ext.is_clean(), "notes: {:?}", ext.notes);
         assert_eq!(ext.trace.streams, vec![s0, s1]);
         assert_eq!(ext.trace.sync.lock_addrs.len(), 2);
@@ -348,7 +150,7 @@ mod tests {
     #[test]
     fn extraction_does_not_consume_the_workload() {
         let mut w = script(vec![vec![Op::Read(Addr(0x40)), Op::Done]]);
-        let _ = extract_program(&w, ExtractOptions::default()).expect("extracts");
+        let _ = extract_program(&w).expect("extracts");
         // The original cursor is untouched.
         assert_eq!(w.next_op(ProcId(0)), Op::Read(Addr(0x40)));
     }
@@ -358,35 +160,29 @@ mod tests {
         // P1's post-acquire write must not be emitted before P0 releases —
         // verified indirectly: extraction completes with no forced notes,
         // which requires the blocking bookkeeping to grant FIFO.
-        let ext = extract_program(
-            &script(vec![
-                vec![
-                    Op::Acquire(LockId(0)),
-                    Op::Compute(5),
-                    Op::Release(LockId(0)),
-                    Op::Done,
-                ],
-                vec![Op::Acquire(LockId(0)), Op::Release(LockId(0)), Op::Done],
-            ]),
-            ExtractOptions::default(),
-        )
+        let ext = extract_program(&script(vec![
+            vec![
+                Op::Acquire(LockId(0)),
+                Op::Compute(5),
+                Op::Release(LockId(0)),
+                Op::Done,
+            ],
+            vec![Op::Acquire(LockId(0)), Op::Release(LockId(0)), Op::Done],
+        ]))
         .expect("extracts");
         assert!(ext.is_clean());
     }
 
     #[test]
     fn dropped_release_is_forced_and_noted() {
-        let ext = extract_program(
-            &script(vec![
-                vec![Op::Acquire(LockId(0)), Op::Done],
-                vec![Op::Acquire(LockId(0)), Op::Release(LockId(0)), Op::Done],
-            ]),
-            ExtractOptions::default(),
-        )
+        let ext = extract_program(&script(vec![
+            vec![Op::Acquire(LockId(0)), Op::Done],
+            vec![Op::Acquire(LockId(0)), Op::Release(LockId(0)), Op::Done],
+        ]))
         .expect("extracts");
         assert!(ext.notes.iter().any(|n| matches!(
             n,
-            ExtractNote::ForcedGrant {
+            SyncNote::ForcedGrant {
                 lock: LockId(0),
                 pid: ProcId(1),
                 holder: Some(ProcId(0)),
@@ -398,44 +194,19 @@ mod tests {
 
     #[test]
     fn diverged_barrier_is_forced_and_noted() {
-        let ext = extract_program(
-            &script(vec![
-                vec![Op::Barrier(BarrierId(0)), Op::Done],
-                vec![Op::Done],
-            ]),
-            ExtractOptions::default(),
-        )
+        let ext = extract_program(&script(vec![
+            vec![Op::Barrier(BarrierId(0)), Op::Done],
+            vec![Op::Done],
+        ]))
         .expect("extracts");
         assert!(ext.notes.iter().any(|n| matches!(
             n,
-            ExtractNote::ForcedBarrier {
+            SyncNote::ForcedBarrier {
                 barrier: BarrierId(0),
                 arrived: 1,
                 expected: 2,
             }
         )));
-    }
-
-    #[test]
-    fn op_budget_truncates_instead_of_hanging() {
-        struct Spinner;
-        impl Workload for Spinner {
-            fn processes(&self) -> usize {
-                1
-            }
-            fn next_op(&mut self, _pid: ProcId) -> Op {
-                Op::Read(Addr(0x40))
-            }
-            fn sync_config(&self) -> crate::ops::SyncConfig {
-                crate::ops::SyncConfig::default()
-            }
-            fn fork(&self) -> Option<Box<dyn Workload>> {
-                Some(Box::new(Spinner))
-            }
-        }
-        let ext = extract_program(&Spinner, ExtractOptions { max_total_ops: 100 }).expect("runs");
-        assert_eq!(ext.truncated, vec![ProcId(0)]);
-        assert_eq!(ext.trace.streams[0].len(), 100);
     }
 
     #[test]
@@ -452,6 +223,6 @@ mod tests {
                 crate::ops::SyncConfig::default()
             }
         }
-        assert!(extract_program(&NoFork, ExtractOptions::default()).is_err());
+        assert!(extract_program(&NoFork).is_err());
     }
 }

@@ -19,7 +19,9 @@
 //!   fault-tolerant logical replay of a serialized trace.
 //! * [`extract`] — static program extraction: drive a forked workload
 //!   under a sync-respecting logical scheduler (no timing) to obtain its
-//!   per-process op streams for whole-program lint passes.
+//!   per-process op streams for whole-program lint passes. Extraction
+//!   and trace replay share that one scheduler, and both report its
+//!   forced transitions as [`SyncNote`]s.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@ pub mod breakdown;
 pub mod config;
 pub mod events;
 pub mod extract;
+mod logical;
 pub mod machine;
 pub mod ops;
 pub mod script;
@@ -72,8 +75,9 @@ pub mod trace;
 
 pub use breakdown::{ScaledBreakdown, TimeBreakdown};
 pub use config::{Consistency, ProcConfig};
-pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog, ReplayNote};
-pub use extract::{extract_program, ExtractError, ExtractNote, ExtractOptions, Extraction};
+pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog};
+pub use extract::{extract_program, ExtractError, Extraction};
+pub use logical::SyncNote;
 pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunPhase, RunResult, StuckProcess};
 pub use ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Topology, Workload};
 pub use sync::SyncState;

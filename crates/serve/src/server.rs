@@ -39,11 +39,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dashlat::cellcache::CellMemo;
 use dashlat::chaos::{run_chaos, ChaosOptions};
 use dashlat::sweep::{
-    cell_fingerprint, run_cell_in_process_memo, run_supervised_controlled, CellFailure,
-    FailureClass, SweepControl, SweepOptions, SweepPlan,
+    cell_fingerprint, run_cell_in_process, run_supervised_controlled, CellFailure, FailureClass,
+    SweepControl, SweepOptions, SweepPlan,
 };
 use dashlat_sim::journal::{atomic_write, Journal};
 use dashlat_sim::json::quote;
@@ -200,11 +199,6 @@ pub struct Server {
     state: Mutex<State>,
     wake: Condvar,
     cache: ResultCache,
-    /// In-process memo of complete cell results, shared by every job this
-    /// process runs (the warm-state layer in front of the elapsed-only
-    /// disk cache: a hit skips the simulation entirely, not just the
-    /// report lookup).
-    memo: CellMemo,
     stop: AtomicBool,
     /// Currently open client connections (the `max_connections` gauge).
     conns: AtomicUsize,
@@ -241,7 +235,6 @@ impl Server {
             state: Mutex::new(state),
             wake: Condvar::new(),
             cache,
-            memo: CellMemo::new(),
             stop: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             conns_shed: AtomicU64::new(0),
@@ -529,7 +522,6 @@ impl Server {
                 let journal = dir.join("sweep.journal");
                 let resume = journal.exists();
                 let cache = &self.cache;
-                let memo = &self.memo;
                 let isolate_cells = self.cfg.isolate;
                 let cell_timeout = Duration::from_secs(self.cfg.cell_timeout_secs.max(1));
                 let breaker_limit = self.cfg.crash_loop_threshold.max(1);
@@ -582,7 +574,7 @@ impl Server {
                             }
                             outcome
                         } else {
-                            run_cell_in_process_memo(cell, memo)
+                            run_cell_in_process(cell)
                         };
                         if let Ok(elapsed) = outcome {
                             // Best-effort: a cache-write failure only
@@ -820,14 +812,13 @@ impl Server {
                 let body = format!(
                     "{{\"status\":\"ok\",\"workers\":{},\"queued\":{queued},\"running\":{running},\
                      \"queue_depth\":{},\"jobs\":{total},\"cache_entries\":{},\"cache_hits\":{},\
-                     \"memo_hits\":{},\"shutting_down\":{shutting_down},\
+                     \"shutting_down\":{shutting_down},\
                      \"connections\":{},\"connections_shed\":{},\"persist_failures\":{},\
                      \"cache_write_failures\":{},\"breaker_trips\":{}}}",
                     self.cfg.workers,
                     self.cfg.queue_depth,
                     self.cache.entries(),
                     self.cache.hits(),
-                    self.memo.hits(),
                     self.conns.load(Ordering::SeqCst),
                     self.conns_shed.load(Ordering::Relaxed),
                     self.persist_failures.load(Ordering::Relaxed),
@@ -850,7 +841,6 @@ impl Server {
                 }
             }
             ("POST", ["shutdown"]) => {
-                signal::request_shutdown();
                 self.stop();
                 json(stream, 200, "OK", "{\"shutting_down\":true}")
             }

@@ -11,11 +11,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-wide shutdown flag, set by SIGTERM/SIGINT (and by
-/// `POST /shutdown`, which routes through [`request_shutdown`]).
+/// Process-wide shutdown flag, set by SIGTERM/SIGINT (or
+/// [`request_shutdown`]). It stops every server in the process;
+/// `POST /shutdown` stops only its own server, through `Server::stop`.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once a shutdown has been requested by signal or API.
+/// True once a process-wide shutdown has been requested.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
@@ -61,20 +62,5 @@ pub fn install() {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flag_round_trip() {
-        reset_for_tests();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        reset_for_tests();
-        assert!(!shutdown_requested());
     }
 }

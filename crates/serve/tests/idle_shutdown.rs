@@ -8,7 +8,9 @@
 //! [`BOUND`] of the request.
 //!
 //! The cases run one after another in a single test: the signal flag is
-//! process-wide, so concurrent daemons would stop each other.
+//! process-wide, so concurrent daemons would stop each other. For the
+//! same reason the flag's own round-trip check lives here rather than in
+//! the serve crate's unit tests, which run daemons concurrently.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -100,6 +102,14 @@ fn shut_down(daemon: Daemon, trigger: Trigger, bind: &str) {
 
 #[test]
 fn run_returns_promptly_after_every_shutdown_request_without_traffic() {
+    // The flag itself round-trips.
+    signal::reset_for_tests();
+    assert!(!signal::shutdown_requested());
+    signal::request_shutdown();
+    assert!(signal::shutdown_requested());
+    signal::reset_for_tests();
+    assert!(!signal::shutdown_requested());
+
     for bind in ["127.0.0.1", "0.0.0.0"] {
         for trigger in [Trigger::Stop, Trigger::PostShutdown, Trigger::SignalFlag] {
             signal::reset_for_tests();

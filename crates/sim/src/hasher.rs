@@ -14,6 +14,12 @@
 //! iterate one of these maps in hash order on a result-affecting path —
 //! that contract predates this hasher (the default `RandomState` hasher
 //! already randomised iteration order per process).
+//!
+//! [`Fnv64`], [`fnv1a_64`] and [`fnv1a_128`] are the FNV-1a hashes behind
+//! the repo's content fingerprints: sweep-plan and cell fingerprints
+//! (journal headers, result-cache file names) and the verifier's state
+//! and trace dedup. Fingerprints that reach disk are a persistent format,
+//! so these functions must never change their output.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -82,6 +88,57 @@ impl Hasher for FxHasher {
     }
 }
 
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Incremental 64-bit FNV-1a.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(FNV64_OFFSET)
+    }
+}
+
+impl Fnv64 {
+    /// Hashes `bytes`.
+    pub fn bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
+        }
+    }
+
+    /// Hashes `bytes` and then a `0xff` field separator, so a sequence of
+    /// fields hashes differently from their plain concatenation.
+    pub fn field(&mut self, bytes: &[u8]) {
+        self.bytes(bytes.iter().copied());
+        self.bytes([0xff]);
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// 64-bit FNV-1a over a byte stream.
+pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h = Fnv64::default();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// 128-bit FNV-1a over a byte stream.
+pub fn fnv1a_128(bytes: impl IntoIterator<Item = u8>) -> u128 {
+    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    for b in bytes {
+        h ^= u128::from(b);
+        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
+    }
+    h
+}
+
 /// `BuildHasher` for [`FxHasher`] (zero-sized, deterministic).
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
@@ -94,6 +151,16 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a_64(*b""), FNV64_OFFSET);
+        assert_eq!(fnv1a_64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_128(*b"a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
+        let mut fields = Fnv64::default();
+        fields.field(b"a");
+        assert_eq!(fields.finish(), fnv1a_64(*b"a\xff"));
+    }
 
     #[test]
     fn deterministic_across_instances() {

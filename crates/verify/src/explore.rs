@@ -53,6 +53,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use dashlat_sim::hasher::fnv1a_64;
 use dashlat_sim::vclock::VectorClock;
 use dashlat_sim::SchedAlt;
 
@@ -124,22 +125,12 @@ struct Frame {
     backtrack: Vec<usize>,
 }
 
-/// FNV-1a over a byte stream — tiny, deterministic, collision-unlikely at
-/// the scale of one exploration (thousands of traces).
-fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The Foata fingerprint of an executed trace: events are identified by
 /// `(pid, per-pid occurrence)`, layered greedily (each event's layer is one
 /// past the deepest layer of any dependent predecessor), and the layered
-/// multiset is hashed in canonical order. Mazurkiewicz-equivalent traces
-/// have equal fingerprints.
+/// multiset is hashed in canonical order (64-bit FNV-1a, collision-unlikely
+/// at the scale of one exploration: thousands of traces).
+/// Mazurkiewicz-equivalent traces have equal fingerprints.
 fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
     let mut occ_count: BTreeMap<usize, u64> = BTreeMap::new();
     let mut layers: Vec<u64> = Vec::with_capacity(events.len());

@@ -35,6 +35,7 @@ use dashlat_mem::directory::DirState;
 use dashlat_mem::layout::{AddressSpaceBuilder, Placement};
 use dashlat_mem::system::{AccessKind, MemConfig, MemorySystem, ServiceClass};
 use dashlat_mem::{LatencyTable, LineState, LINE_BYTES};
+use dashlat_sim::hasher::fnv1a_128;
 use dashlat_sim::Cycle;
 
 /// One checker configuration.
@@ -192,16 +193,6 @@ fn format_path(path: &[(usize, usize, AccessKind)]) -> String {
         .map(|&(n, l, k)| format!("P{n}:{} line{l}", kind_name(k)))
         .collect::<Vec<_>>()
         .join(" -> ")
-}
-
-/// 128-bit FNV-1a over a byte stream.
-fn fnv1a_128(bytes: impl IntoIterator<Item = u8>) -> u128 {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-    }
-    h
 }
 
 fn line_state_byte(s: Option<LineState>) -> u8 {
